@@ -45,7 +45,6 @@ func main() {
 
 		loadQPS    = flag.String("load-qps", "", "comma-separated offered-QPS ladder for the load experiment (default 25,50,100)")
 		loadDur    = flag.Duration("load-duration", 0, "arrival window per load rate (default 3s)")
-		loadPar    = flag.Int("load-parallel", 0, "per-request pipeline width for the load experiment (default 4)")
 		loadWin    = flag.Int("load-window", 0, "scheduler window directive for the load experiment (0 = adaptive)")
 		loadShards = flag.Int("load-shards", 0, "serve the load experiment through N local spatial shards (0/1 = single engine)")
 
@@ -73,7 +72,6 @@ func main() {
 		}
 	}
 	s.LoadDuration = *loadDur
-	s.LoadParallel = *loadPar
 	s.LoadWindow = *loadWin
 	s.LoadShards = *loadShards
 	s.TraceQueries = *traceQ

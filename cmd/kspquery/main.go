@@ -151,8 +151,8 @@ func printExplain(rep *ksp.ExplainReport) {
 		win = fmt.Sprintf("%s(%d)", p.WindowPolicy, p.Window)
 	}
 	fmt.Println("explain:")
-	fmt.Printf("  plan: algo=%s k=%d workers=%d window=%s direction=%s ranking=%s\n",
-		p.Algo, p.K, p.Workers, win, p.Direction, p.Ranking)
+	fmt.Printf("  plan: algo=%s k=%d window=%s direction=%s ranking=%s\n",
+		p.Algo, p.K, win, p.Direction, p.Ranking)
 	fmt.Printf("  rules: r1=%v r2=%v r3=%v r4=%v (alpha=%d reachability=%v cache=%v)\n",
 		p.Rule1, p.Rule2, p.Rule3, p.Rule4, p.AlphaRadius, p.Reachability, p.LoosenessCache)
 	if len(p.Keywords) > 0 {

@@ -19,7 +19,6 @@ func smallSuite(t testing.TB) *Suite {
 	s := NewSuite(1500, 3, 42, &buf)
 	s.LoadQPS = []float64{30}
 	s.LoadDuration = 400 * time.Millisecond
-	s.LoadParallel = 2
 	return s
 }
 

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"runtime"
 	"time"
 
 	"ksp/internal/alpha"
@@ -31,7 +30,7 @@ func ExperimentIDs() []string {
 	return []string{
 		"table4", "table5", "table6", "table7",
 		"fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10",
-		"ablation", "freq", "parallel", "window", "multicore", "load", "memory",
+		"ablation", "freq", "cache", "window", "load", "memory",
 	}
 }
 
@@ -88,12 +87,10 @@ func (s *Suite) Experiment(id string) ([]*Report, error) {
 		return s.ablation()
 	case "freq":
 		return s.freq()
-	case "parallel":
-		return s.parallel()
+	case "cache":
+		return s.cache()
 	case "window":
 		return s.window()
-	case "multicore":
-		return s.multicore()
 	case "load":
 		return s.load()
 	case "memory":
@@ -547,57 +544,18 @@ func (s *Suite) freq() ([]*Report, error) {
 	return out, nil
 }
 
-// --- Parallel pipeline and cross-query looseness cache (repo extension) ---
+// --- Cross-query looseness cache (repo extension) ---
 
-// parallelWorkers are the pipeline widths the speedup sweep measures.
-var parallelWorkers = []int{2, 4, 8}
-
-// parallel measures (a) wall-clock speedup of the parallel TQSP pipeline
-// over the serial loop for SPP and SP, and (b) the effect of the
-// cross-query looseness cache on a repeated-keyword workload. Results at
-// every worker count are bit-identical to serial (enforced by the
-// equivalence tests in internal/core), so only time and counters vary.
-func (s *Suite) parallel() ([]*Report, error) {
-	hostNote := fmt.Sprintf("host: GOMAXPROCS=%d, NumCPU=%d — speedup is bounded by available cores; on a single-core host the pipeline degenerates to serial order plus scheduling overhead",
-		runtime.GOMAXPROCS(0), runtime.NumCPU())
-
-	speed := &Report{ID: "parallel", Title: "Parallel pipeline wall-clock (ms) vs workers",
-		Header: []string{"data", "algo", "serial", "par=2", "par=4", "par=8", "best speedup"},
-		Notes: []string{
-			hostNote,
-			"answers are bit-identical to serial at every width; TQSP construction dominates, so speedup tracks how many candidates survive the spatial bound",
-		}}
-	for _, name := range []string{DBpediaLike, YagoLike} {
-		d := s.Data(name)
-		qs := d.workload(classO, s.Queries, defaultM, defaultK)
-		for _, a := range []algoRunner{runSPP, runSP} {
-			serial, err := s.runWorkload(d.base, a, qs, core.Options{})
-			if err != nil {
-				return nil, err
-			}
-			row := []string{name, a.name, ms(serial.Wall)}
-			best := 1.0
-			for _, w := range parallelWorkers {
-				m, err := s.runWorkload(d.base, a, qs, core.Options{Parallelism: w})
-				if err != nil {
-					return nil, err
-				}
-				row = append(row, ms(m.Wall))
-				if m.Wall > 0 {
-					if sp := float64(serial.Wall) / float64(m.Wall); sp > best {
-						best = sp
-					}
-				}
-			}
-			speed.AddRow(append(row, fmt.Sprintf("%.2fx", best))...)
-		}
-	}
-
+// cache measures the cross-query looseness cache on a repeated-keyword
+// workload. Answers are bit-identical with and without the cache
+// (enforced by the equivalence tests in internal/core), so only time and
+// counters vary.
+func (s *Suite) cache() ([]*Report, error) {
 	// Repeated-keyword workload: a small pool of keyword sets queried
 	// from many locations. The cache key is (place, term set) — location
 	// and k independent — so the second pass reuses the first pass's
 	// exact loosenesses and Rule-2 lower bounds.
-	cacheRep := &Report{ID: "parallel", Title: "Cross-query looseness cache on a repeated-keyword workload (SP)",
+	cacheRep := &Report{ID: "cache", Title: "Cross-query looseness cache on a repeated-keyword workload (SP)",
 		Header: []string{"data", "pass", "wall (ms)", "TQSP", "exact hits", "bound hits", "misses", "hit rate"},
 		Notes: []string{
 			"pass 2 repeats the same keyword sets at fresh locations against a warm cache; exact L(Tp) entries skip TQSP construction entirely",
@@ -632,7 +590,7 @@ func (s *Suite) parallel() ([]*Report, error) {
 				fmt.Sprintf("%.2f", rate))
 		}
 	}
-	return []*Report{speed, cacheRep}, nil
+	return []*Report{cacheRep}, nil
 }
 
 // --- Windowed candidate scheduling (repo extension) ---

@@ -42,7 +42,6 @@ type Suite struct {
 	// defaults in loadDefaults.
 	LoadQPS      []float64
 	LoadDuration time.Duration
-	LoadParallel int
 	LoadWindow   int
 	// LoadShards > 1 runs the load experiment through a scatter-gather
 	// coordinator over that many local spatial shards.
@@ -195,9 +194,6 @@ type measured struct {
 	CacheHits, CacheBoundHits, CacheMisses int64
 	// Window-scheduler kills (screen + deferred), summed over the workload.
 	WindowKilled int64
-	// Work-stealing scheduler counters, summed over the workload.
-	Steals, OwnPops int64
-	WorkerIdle      time.Duration
 }
 
 func (m measured) total() time.Duration { return m.Semantic + m.Other }
@@ -247,9 +243,6 @@ func (s *Suite) runWorkload(e *core.Engine, a algoRunner, qs []core.Query, opts 
 	out.CacheHits = agg.CacheHits
 	out.CacheBoundHits = agg.CacheBoundHits
 	out.CacheMisses = agg.CacheMisses
-	out.Steals = agg.Steals
-	out.OwnPops = agg.OwnPops
-	out.WorkerIdle = agg.WorkerIdle
 	return out, nil
 }
 

@@ -35,10 +35,8 @@ type LoadConfig struct {
 	Algo string `json:"algo"`
 	// K and M shape the workload queries.
 	K, M int `json:"-"`
-	// Parallel is the per-request pipeline width; Window the scheduler
-	// window directive (0 = adaptive).
-	Parallel int `json:"parallel"`
-	Window   int `json:"window"`
+	// Window is the scheduler window directive (0 = adaptive).
+	Window int `json:"window"`
 	// Seed drives both the workload choice and the arrival clock.
 	Seed int64 `json:"seed"`
 	// Shards > 1 serves the cell through a scatter-gather coordinator
@@ -98,11 +96,6 @@ func (s *Suite) loadCell(cfg LoadConfig) (LoadResult, error) {
 		return res, err
 	}
 	srv := server.New(ds)
-	srv.DefaultParallel = cfg.Parallel
-	srv.MaxParallel = cfg.Parallel
-	if srv.MaxParallel < 1 {
-		srv.MaxParallel = 1
-	}
 	var coord *shard.Coordinator
 	if cfg.Shards > 1 {
 		tiles, err := ds.PartitionSpatial(cfg.Shards)
@@ -131,8 +124,8 @@ func (s *Suite) loadCell(cfg LoadConfig) (LoadResult, error) {
 	qs := d.workload(classO, max(8, s.Queries), cfg.M, cfg.K)
 	urls := make([]string, len(qs))
 	for i, q := range qs {
-		urls[i] = fmt.Sprintf("%s/search?x=%f&y=%f&kw=%s&k=%d&algo=%s&parallel=%d&window=%d",
-			ts.URL, q.Loc.X, q.Loc.Y, joinKeywords(q.Keywords), q.K, cfg.Algo, cfg.Parallel, cfg.Window)
+		urls[i] = fmt.Sprintf("%s/search?x=%f&y=%f&kw=%s&k=%d&algo=%s&window=%d",
+			ts.URL, q.Loc.X, q.Loc.Y, joinKeywords(q.Keywords), q.K, cfg.Algo, cfg.Window)
 	}
 
 	// Deterministic open-loop schedule: exponential gaps at rate QPS,
@@ -246,9 +239,9 @@ func joinKeywords(kws []string) string {
 	return out
 }
 
-// LoadQPS / LoadDuration / LoadParallel / LoadWindow tune the "load"
-// experiment from kspbench flags; loadDefaults fills unset values.
-func (s *Suite) loadDefaults() ([]float64, time.Duration, int, int) {
+// LoadQPS / LoadDuration / LoadWindow tune the "load" experiment from
+// kspbench flags; loadDefaults fills unset values.
+func (s *Suite) loadDefaults() ([]float64, time.Duration, int) {
 	qps := s.LoadQPS
 	if len(qps) == 0 {
 		qps = []float64{25, 50, 100}
@@ -257,18 +250,14 @@ func (s *Suite) loadDefaults() ([]float64, time.Duration, int, int) {
 	if dur <= 0 {
 		dur = 3 * time.Second
 	}
-	par := s.LoadParallel
-	if par == 0 {
-		par = 4
-	}
-	return qps, dur, par, s.LoadWindow
+	return qps, dur, s.LoadWindow
 }
 
 // load is the "load" experiment: an offered-QPS ladder against a live
 // server, one row per rate, with the machine-readable LoadResult set
 // attached to the report for JSON baselines.
 func (s *Suite) load() ([]*Report, error) {
-	qpsLadder, dur, par, window := s.loadDefaults()
+	qpsLadder, dur, window := s.loadDefaults()
 	title := "Open-loop sustained throughput (SPP, Yago-like)"
 	if s.LoadShards > 1 {
 		title = fmt.Sprintf("Open-loop sustained throughput (SPP, Yago-like, %d local shards)", s.LoadShards)
@@ -278,7 +267,7 @@ func (s *Suite) load() ([]*Report, error) {
 			"p50 (ms)", "p90 (ms)", "p99 (ms)", "p999 (ms)", "max (ms)"},
 		Notes: []string{
 			"open loop: seeded-exponential arrivals fire regardless of completions, so saturation surfaces as latency and shed, never as a quietly reduced offered rate",
-			fmt.Sprintf("per-request parallelism %d, window %d (0 = adaptive), arrival window %v per rate", par, window, dur),
+			fmt.Sprintf("window %d (0 = adaptive), arrival window %v per rate", window, dur),
 		}}
 	if s.LoadShards > 1 {
 		r.Notes = append(r.Notes, fmt.Sprintf(
@@ -292,7 +281,6 @@ func (s *Suite) load() ([]*Report, error) {
 			Algo:     "SPP",
 			K:        defaultK,
 			M:        defaultM,
-			Parallel: par,
 			Window:   window,
 			Seed:     s.Seed + int64(100+i),
 			Shards:   s.LoadShards,

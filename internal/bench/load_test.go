@@ -22,7 +22,6 @@ func TestLoadSmoke(t *testing.T) {
 		Algo:     "SPP",
 		K:        defaultK,
 		M:        defaultM,
-		Parallel: 2,
 		Window:   0,
 		Seed:     99,
 	})
@@ -70,7 +69,6 @@ func TestLoadShardedSmoke(t *testing.T) {
 		Algo:     "SPP",
 		K:        defaultK,
 		M:        defaultM,
-		Parallel: 2,
 		Seed:     99,
 		Shards:   3,
 	})

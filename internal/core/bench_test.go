@@ -64,6 +64,10 @@ func BenchmarkGetSemanticPlaceWithBound(b *testing.B) {
 
 func benchAlgo(b *testing.B, run func(*Engine, Query, Options) ([]Result, *Stats, error), shape func(int, int64) gen.Config) {
 	e, qg := benchEngine(b, shape)
+	benchQueries(b, e, qg, run)
+}
+
+func benchQueries(b *testing.B, e *Engine, qg *gen.QueryGen, run func(*Engine, Query, Options) ([]Result, *Stats, error)) {
 	queries := make([]Query, 16)
 	for i := range queries {
 		loc, kws := qg.Original(5)
@@ -82,6 +86,14 @@ func BenchmarkQuerySPP(b *testing.B) { benchAlgo(b, (*Engine).SPP, gen.DBpediaCo
 func BenchmarkQueryTA(b *testing.B)  { benchAlgo(b, (*Engine).TA, gen.DBpediaConfig) }
 
 func BenchmarkQuerySPYago(b *testing.B) { benchAlgo(b, (*Engine).SP, gen.YagoConfig) }
+
+// BenchmarkQuerySPCached repeats BenchmarkQuerySP's 16-query pool with
+// the looseness cache on, so warm hits dominate.
+func BenchmarkQuerySPCached(b *testing.B) {
+	e, qg := benchEngine(b, gen.DBpediaConfig)
+	e.EnableLoosenessCache(0)
+	benchQueries(b, e, qg, (*Engine).SP)
+}
 
 func BenchmarkKeywordTopK(b *testing.B) {
 	e, qg := benchEngine(b, gen.YagoConfig)

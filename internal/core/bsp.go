@@ -38,22 +38,19 @@ func (e *Engine) BSP(q Query, opts Options) (results []Result, stats *Stats, err
 }
 
 func (e *Engine) bspLoop(pq *prepQuery, opts Options, hk *topK, stats *Stats) error {
-	mk := func(st *Stats, _ func() float64) (candSource, error) {
-		br, err := e.source(pq.loc.Loc, opts)
-		if err != nil {
-			return nil, err
-		}
-		return &streamSource{br: br, rank: e.Rank, maxDist: opts.MaxDist, stats: st}, nil
+	br, err := e.source(pq.loc.Loc, opts)
+	if err != nil {
+		return err
 	}
-	// BSP is the paper's no-pruning baseline: Rules 1 and 2 stay off in
-	// serial and parallel runs alike, so its cost profile keeps meaning
-	// "full TQSP construction per retrieved place".
-	return e.run(mk, pq, opts, hk, stats, false, false)
+	// BSP is the paper's no-pruning baseline: Rules 1 and 2 stay off, so
+	// its cost profile keeps meaning "full TQSP construction per
+	// retrieved place".
+	src := &streamSource{br: br, rank: e.Rank, maxDist: opts.MaxDist, stats: stats}
+	return e.run(src, pq, opts, hk, stats, false, false)
 }
 
-// finishStats computes OtherTime as the wall-clock remainder. In a
-// parallel run SemanticTime sums concurrent workers (CPU seconds) and
-// can exceed the wall clock; clamp rather than report negative time.
+// finishStats computes OtherTime as the wall-clock remainder, clamped at
+// zero.
 func finishStats(stats *Stats, elapsed time.Duration) {
 	stats.OtherTime = elapsed - stats.SemanticTime
 	if stats.OtherTime < 0 {

@@ -17,9 +17,6 @@ import (
 var corePoints = []string{
 	PointPrepare,
 	PointSerialCandidate,
-	PointProducer,
-	PointWorker,
-	PointFinalizer,
 	PointBFS,
 	PointWindowFill,
 }
@@ -75,7 +72,7 @@ func assertSoundPrefix(t *testing.T, name string, got []Result, stats *Stats, wa
 }
 
 // settleGoroutines fails the test if the goroutine count stays above
-// its start-of-test level — a stuck producer/worker/finalizer.
+// its start-of-test level — a goroutine a faulted query left behind.
 func settleGoroutines(t *testing.T, before int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
@@ -90,8 +87,7 @@ func settleGoroutines(t *testing.T, before int) {
 }
 
 // TestChaos drives every injection point with every fault action —
-// panic, stall past the deadline, cancellation — under serial and
-// parallel evaluation, asserting the blast-radius contract: a panic
+// panic, stall past the deadline, cancellation — asserting the blast-radius contract: a panic
 // fails one query with *PanicError; a stalled or cancelled query
 // returns a sound partial answer with no error; nothing deadlocks or
 // leaks goroutines; and after Deactivate the engine answers exactly
@@ -112,14 +108,14 @@ func TestChaos(t *testing.T) {
 		t.Fatal("baseline query returned nothing; fixture too small")
 	}
 
-	run := func(name string, par int, plan *faultinject.Plan, check func(t *testing.T, got []Result, stats *Stats, err error, fired int64)) {
+	run := func(name string, plan *faultinject.Plan, check func(t *testing.T, got []Result, stats *Stats, err error, fired int64)) {
 		t.Run(name, func(t *testing.T) {
 			// The baseline must be read on this goroutine: the parent
 			// test's goroutine is alive for exactly as long as the subtest.
 			before := runtime.NumGoroutine()
 			faultinject.Activate(plan)
 			defer faultinject.Deactivate()
-			got, stats, err := e.SP(q, Options{Parallelism: par, Deadline: 30 * time.Millisecond})
+			got, stats, err := e.SP(q, Options{Deadline: 30 * time.Millisecond})
 			faultinject.Deactivate()
 			check(t, got, stats, err, plan.FiredTotal())
 			settleGoroutines(t, before)
@@ -127,63 +123,60 @@ func TestChaos(t *testing.T) {
 	}
 
 	for _, point := range corePoints {
-		point := point
-		for _, par := range []int{1, 4} {
-			par := par
-			tag := point + "/par=" + string(rune('0'+par))
-
-			run("panic/"+tag, par, faultinject.NewPlan(1).Add(faultinject.Fault{
-				Point: point, Action: faultinject.Panic, Times: 1,
-			}), func(t *testing.T, got []Result, stats *Stats, err error, fired int64) {
-				if fired == 0 {
-					// The point is off this evaluation path (e.g. a parallel
-					// stage under serial execution): the query must be exact.
-					if err != nil {
-						t.Fatalf("no fault fired but query failed: %v", err)
-					}
-					assertSoundPrefix(t, "panic/"+tag, got, stats, want)
-					return
-				}
-				var pe *PanicError
-				if !errors.As(err, &pe) {
-					t.Fatalf("injected panic surfaced as %v, want *PanicError", err)
-				}
-				var inj *faultinject.Injected
-				if !errors.As(err, &inj) && !isInjectedValue(pe.Value) {
-					t.Fatalf("panic value %v is not the injected marker", pe.Value)
-				}
-				if got != nil {
-					t.Fatalf("panicking query leaked results: %v", got)
-				}
-			})
-
-			run("stall/"+tag, par, faultinject.NewPlan(2).Add(faultinject.Fault{
-				Point: point, Action: faultinject.Stall, StallFor: 15 * time.Millisecond,
-			}), func(t *testing.T, got []Result, stats *Stats, err error, fired int64) {
+		// The "/par=1" suffix keeps the subtest names of the earlier
+		// serial-vs-parallel matrix, so -run filters stay valid.
+		tag := point + "/par=1"
+		run("panic/"+tag, faultinject.NewPlan(1).Add(faultinject.Fault{
+			Point: point, Action: faultinject.Panic, Times: 1,
+		}), func(t *testing.T, got []Result, stats *Stats, err error, fired int64) {
+			if fired == 0 {
+				// The point is off this query's evaluation path: the
+				// query must be exact.
 				if err != nil {
-					t.Fatalf("stalled query failed: %v", err)
+					t.Fatalf("no fault fired but query failed: %v", err)
 				}
-				assertSoundPrefix(t, "stall/"+tag, got, stats, want)
-			})
+				assertSoundPrefix(t, "panic/"+tag, got, stats, want)
+				return
+			}
+			var pe *PanicError
+			if !errors.As(err, &pe) {
+				t.Fatalf("injected panic surfaced as %v, want *PanicError", err)
+			}
+			var inj *faultinject.Injected
+			if !errors.As(err, &inj) && !isInjectedValue(pe.Value) {
+				t.Fatalf("panic value %v is not the injected marker", pe.Value)
+			}
+			if got != nil {
+				t.Fatalf("panicking query leaked results: %v", got)
+			}
+		})
 
-			cancel := make(chan struct{})
-			var once sync.Once
-			run("cancel/"+tag, par, faultinject.NewPlan(3).Add(faultinject.Fault{
-				Point: point, Action: faultinject.Call,
-				Func: func() { once.Do(func() { close(cancel) }) },
-			}), func(t *testing.T, got []Result, stats *Stats, err error, fired int64) {
-				_ = cancel
-				if err != nil {
-					t.Fatalf("cancelled query failed: %v", err)
-				}
-				assertSoundPrefix(t, "cancel/"+tag, got, stats, want)
-			})
-		}
+		run("stall/"+tag, faultinject.NewPlan(2).Add(faultinject.Fault{
+			Point: point, Action: faultinject.Stall, StallFor: 15 * time.Millisecond,
+		}), func(t *testing.T, got []Result, stats *Stats, err error, fired int64) {
+			if err != nil {
+				t.Fatalf("stalled query failed: %v", err)
+			}
+			assertSoundPrefix(t, "stall/"+tag, got, stats, want)
+		})
+
+		cancel := make(chan struct{})
+		var once sync.Once
+		run("cancel/"+tag, faultinject.NewPlan(3).Add(faultinject.Fault{
+			Point: point, Action: faultinject.Call,
+			Func: func() { once.Do(func() { close(cancel) }) },
+		}), func(t *testing.T, got []Result, stats *Stats, err error, fired int64) {
+			_ = cancel
+			if err != nil {
+				t.Fatalf("cancelled query failed: %v", err)
+			}
+			assertSoundPrefix(t, "cancel/"+tag, got, stats, want)
+		})
 	}
 
 	// With every plan deactivated the engine must answer exactly again.
 	before := runtime.NumGoroutine()
-	got, stats, err := e.SP(q, Options{Parallelism: 4})
+	got, stats, err := e.SP(q, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,26 +209,24 @@ func TestChaosCancelViaOptions(t *testing.T) {
 	}
 
 	before := runtime.NumGoroutine()
-	for _, point := range []string{PointSerialCandidate, PointWorker, PointBFS} {
-		for _, par := range []int{1, 4} {
-			cancel := make(chan struct{})
-			var once sync.Once
-			plan := faultinject.NewPlan(5).Add(faultinject.Fault{
-				Point: point, Action: faultinject.Call, AfterN: 2,
-				Func: func() { once.Do(func() { close(cancel) }) },
-			})
-			faultinject.Activate(plan)
-			got, stats, err := e.SP(q, Options{Parallelism: par, Cancel: cancel})
-			faultinject.Deactivate()
-			if err != nil {
-				t.Fatalf("%s par=%d: %v", point, par, err)
-			}
-			if plan.Fired(point) >= 2 && !stats.Cancelled {
-				t.Fatalf("%s par=%d: cancel fired but Stats.Cancelled false", point, par)
-			}
-			assertSoundPrefix(t, point, got, stats, want)
-			settleGoroutines(t, before)
+	for _, point := range []string{PointSerialCandidate, PointBFS} {
+		cancel := make(chan struct{})
+		var once sync.Once
+		plan := faultinject.NewPlan(5).Add(faultinject.Fault{
+			Point: point, Action: faultinject.Call, AfterN: 2,
+			Func: func() { once.Do(func() { close(cancel) }) },
+		})
+		faultinject.Activate(plan)
+		got, stats, err := e.SP(q, Options{Cancel: cancel})
+		faultinject.Deactivate()
+		if err != nil {
+			t.Fatalf("%s: %v", point, err)
 		}
+		if plan.Fired(point) >= 2 && !stats.Cancelled {
+			t.Fatalf("%s: cancel fired but Stats.Cancelled false", point)
+		}
+		assertSoundPrefix(t, point, got, stats, want)
+		settleGoroutines(t, before)
 	}
 }
 
@@ -261,21 +252,19 @@ func TestChaosCancelMidWindow(t *testing.T) {
 
 	before := runtime.NumGoroutine()
 	for _, win := range []int{0, 2, 64} { // adaptive, tiny, one-shot
-		for _, par := range []int{1, 4} {
-			cancel := make(chan struct{})
-			var once sync.Once
-			plan := faultinject.NewPlan(7).Add(faultinject.Fault{
-				Point: PointWindowFill, Action: faultinject.Call, AfterN: 1,
-				Func: func() { once.Do(func() { close(cancel) }) },
-			})
-			faultinject.Activate(plan)
-			got, stats, err := e.SP(q, Options{Parallelism: par, Window: win, Cancel: cancel})
-			faultinject.Deactivate()
-			if err != nil {
-				t.Fatalf("window=%d par=%d: %v", win, par, err)
-			}
-			assertSoundPrefix(t, "mid-window", got, stats, want)
-			settleGoroutines(t, before)
+		cancel := make(chan struct{})
+		var once sync.Once
+		plan := faultinject.NewPlan(7).Add(faultinject.Fault{
+			Point: PointWindowFill, Action: faultinject.Call, AfterN: 1,
+			Func: func() { once.Do(func() { close(cancel) }) },
+		})
+		faultinject.Activate(plan)
+		got, stats, err := e.SP(q, Options{Window: win, Cancel: cancel})
+		faultinject.Deactivate()
+		if err != nil {
+			t.Fatalf("window=%d: %v", win, err)
 		}
+		assertSoundPrefix(t, "mid-window", got, stats, want)
+		settleGoroutines(t, before)
 	}
 }

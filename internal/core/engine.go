@@ -41,7 +41,7 @@ type Engine struct {
 	Rank Ranking
 
 	// pools recycles per-query scratch (dense Mq.ψ arrays, BFS state)
-	// across queries and across the workers of one parallel query. A
+	// across queries. A
 	// pointer so WithAlpha clones share it (the graph, and hence every
 	// scratch size, is identical).
 	pools *enginePools
@@ -57,10 +57,6 @@ type Engine struct {
 	// (WindowStats). A pointer so WithAlpha's `clone := *e` shares it and
 	// never copies the atomics.
 	winTotals *windowTotals
-	// sched accumulates the work-stealing scheduler's lifetime counters
-	// and its starvation-feedback depth hint (SchedStats). A pointer for
-	// the same WithAlpha-sharing reason as winTotals.
-	sched *schedTotals
 }
 
 // enginePools recycles allocation-heavy per-query state.
@@ -240,7 +236,6 @@ func NewEngine(g *rdf.Graph, dir rdf.Direction) *Engine {
 		Rank:      ProductRanking{},
 		pools:     &enginePools{},
 		winTotals: &windowTotals{},
-		sched:     &schedTotals{},
 	}
 }
 
@@ -301,9 +296,8 @@ func (e *Engine) WithAlpha(alphaRadius int) *Engine {
 // prepQuery is a resolved query: deduped keyword term IDs ordered by
 // ascending document frequency (the paper prioritizes infrequent keywords
 // in Rule 1), the dense map Mq.ψ from vertices to keyword masks, and the
-// raw posting lists. Read-only once prepare returns, so the workers of a
-// parallel evaluation share it freely; the engine recycles mq via
-// releasePrep.
+// raw posting lists. Read-only once prepare returns; the engine recycles
+// mq via releasePrep.
 type prepQuery struct {
 	loc      Query
 	terms    []uint32
@@ -318,16 +312,14 @@ type prepQuery struct {
 	answerable bool
 	// qv caches the α-radius query view for terms, loaded at most once
 	// per query (SP's stream and the window screens share it). Guarded by
-	// qvLoaded, not a mutex: queryView is only called on the query's main
-	// goroutine before the pipeline spawns.
+	// qvLoaded, not a mutex: a query is evaluated on one goroutine.
 	qv       *alpha.QueryView
 	qvErr    error
 	qvLoaded bool
 }
 
 // queryView lazily loads the α-radius view for pq's keyword set,
-// returning (nil, nil) when the α index is absent. Call before the
-// parallel pipeline spawns; the cached view is read-only afterwards.
+// returning (nil, nil) when the α index is absent.
 func (pq *prepQuery) queryView(e *Engine) (*alpha.QueryView, error) {
 	if !pq.qvLoaded {
 		pq.qvLoaded = true
@@ -353,7 +345,7 @@ func termSig(terms []uint32) string {
 
 // releasePrep returns a prepared query's pooled scratch to the engine.
 // The prepQuery must not be used afterwards. Always called after the
-// query's pipeline has fully drained (deferred at the algorithm
+// query's evaluation loop has returned (deferred at the algorithm
 // function scope), so the α query view can go back to its pool.
 func (e *Engine) releasePrep(pq *prepQuery) {
 	if pq == nil {

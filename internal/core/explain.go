@@ -10,10 +10,9 @@ import (
 // assembled from configuration and the Stats the run already collected
 // — no span capture involved, so it is cheap enough to attach to any
 // response (?explain=1, kspquery -explain). The plan says what the
-// engine decided to do (algorithm, pruning rules in force, window and
-// pipeline policy, Rule-1 keyword order); the profile says what that
-// decision cost (per-rule pruning counts, cache traffic, scheduler
-// work), mirroring the paper's per-phase/per-rule accounting.
+// engine decided to do (algorithm, pruning rules in force, window
+// policy, Rule-1 keyword order); the profile says what that decision
+// cost (per-rule pruning counts, cache traffic, window work), mirroring the paper's per-phase/per-rule accounting.
 
 // ExplainKeyword is one resolved query keyword in Rule-1 evaluation
 // order (ascending document frequency — infrequent keywords are
@@ -35,18 +34,13 @@ type ExplainPlan struct {
 	// Answerable is false when some keyword matches no document — no
 	// qualified semantic place can exist and the query short-circuits.
 	Answerable bool `json:"answerable"`
-	// Workers is the resolved parallel worker count (1 = serial).
-	Workers int `json:"workers"`
 	// WindowPolicy is the candidate-window decision: "classic" (W=1
 	// legacy loop), "fixed" (explicit W), or "adaptive".
 	WindowPolicy string `json:"windowPolicy"`
 	// Window is the explicit window size under the "fixed" policy.
-	Window int `json:"window,omitempty"`
-	// PipelineDepth is the requested producer run-ahead bound; 0 means
-	// derived per query with starvation feedback.
-	PipelineDepth int     `json:"pipelineDepth,omitempty"`
-	UseGrid       bool    `json:"useGrid,omitempty"`
-	MaxDist       float64 `json:"maxDist,omitempty"`
+	Window  int     `json:"window,omitempty"`
+	UseGrid bool    `json:"useGrid,omitempty"`
+	MaxDist float64 `json:"maxDist,omitempty"`
 	// Rule1–Rule4 report which pruning rules are in force for this plan
 	// (index present, not disabled, and used by the chosen algorithm).
 	Rule1 bool `json:"rule1"`
@@ -90,10 +84,6 @@ type ExplainProfile struct {
 	WindowCandidates     int64 `json:"windowCandidates"`
 	WindowScreenKilled   int64 `json:"windowScreenKilled"`
 	WindowDeferredKilled int64 `json:"windowDeferredKilled"`
-
-	Steals           int64 `json:"steals,omitempty"`
-	OwnPops          int64 `json:"ownPops,omitempty"`
-	WorkerIdleMicros int64 `json:"workerIdleMicros,omitempty"`
 
 	Results    int     `json:"results"`
 	Partial    bool    `json:"partial,omitempty"`
@@ -149,8 +139,6 @@ func (e *Engine) explainPlan(algo string, q Query, opts Options) ExplainPlan {
 		Algo:           algo,
 		K:              q.K,
 		Answerable:     true,
-		Workers:        opts.workers(),
-		PipelineDepth:  opts.PipelineDepth,
 		UseGrid:        opts.UseGrid,
 		MaxDist:        opts.MaxDist,
 		Reachability:   e.Reach != nil,
@@ -237,9 +225,6 @@ func buildProfile(s *Stats, results int) ExplainProfile {
 		WindowCandidates:     s.WindowCandidates,
 		WindowScreenKilled:   s.WindowScreenKilled,
 		WindowDeferredKilled: s.WindowDeferredKilled,
-		Steals:               s.Steals,
-		OwnPops:              s.OwnPops,
-		WorkerIdleMicros:     s.WorkerIdle.Microseconds(),
 		Results:              results,
 		Partial:              s.Partial,
 		TimedOut:             s.TimedOut,

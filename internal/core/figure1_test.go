@@ -30,6 +30,10 @@ var allAlgos = []algo{
 	{"TA", (*Engine).TA},
 }
 
+// loopAlgos are the algorithms evaluated by the shared candidate loop
+// and its window scheduler (TA has its own loop).
+var loopAlgos = allAlgos[:3]
+
 // Examples 5 and 6: at q1 the top-1 is p1 (f = 6·S(q1,p1) ≈ 1.32) and p2
 // ranks second (f = 4·S(q1,p2) ≈ 5.12); at q2 the ranking flips.
 func TestFigure1Examples5And6(t *testing.T) {

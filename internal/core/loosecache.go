@@ -54,7 +54,7 @@ func looseHash(k looseKey) uint32 {
 }
 
 // looseCacheShards balances lock contention against per-shard LRU
-// quality for the worker counts a single machine runs.
+// quality for the concurrent queries a single machine runs.
 const looseCacheShards = 16
 
 // EnableLoosenessCache attaches a looseness cache of the given entry

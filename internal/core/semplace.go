@@ -22,23 +22,13 @@ type bfsScratch struct {
 	parent  []uint32
 }
 
-// searcher carries the per-query scratch of the TQSP constructions. In a
-// parallel evaluation each worker owns one searcher; they share the
-// read-only prepQuery and write disjoint Stats.
+// searcher carries the per-query scratch of the TQSP constructions.
 type searcher struct {
 	e       *Engine
 	pq      *prepQuery
 	stats   *Stats
 	collect bool
 	scratch *bfsScratch
-
-	// liveTheta, when non-nil, is the pipeline's shared θ: the dynamic
-	// bound of Pruning Rule 2 is re-tightened from it periodically during
-	// construction, so a long BFS started under a stale threshold still
-	// benefits from results finalized since (DESIGN.md §8). liveDist is
-	// the current candidate's spatial distance, set per call.
-	liveTheta *atomicFloat64
-	liveDist  float64
 
 	// curSpan is the trace span of the candidate currently being
 	// evaluated (nil when tracing is off); semanticPlace annotates it and
@@ -61,7 +51,7 @@ type bfsEnt struct {
 }
 
 func newSearcher(e *Engine, pq *prepQuery, stats *Stats, collect bool) *searcher {
-	//ksplint:ignore allocbound -- one searcher per worker per query; the allocation-heavy scratch inside is pooled
+	//ksplint:ignore allocbound -- one searcher per query; the allocation-heavy scratch inside is pooled
 	return &searcher{
 		e:       e,
 		pq:      pq,
@@ -79,10 +69,6 @@ func (s *searcher) release() {
 		s.scratch = nil
 	}
 }
-
-// liveThetaEvery is how many BFS pops pass between re-reads of the
-// shared θ during parallel evaluation.
-const liveThetaEvery = 64
 
 // getSemanticPlace constructs the TQSP rooted at p (Algorithm 2) and, when
 // lw is finite, applies the dynamic-bound abort of Pruning Rule 2
@@ -127,14 +113,6 @@ func (s *searcher) getSemanticPlace(p uint32, lw float64) (float64, *Tree) {
 	for head := 0; head < len(q) && b != 0; head++ {
 		cur := q[head]
 		s.stats.BFSVertexVisits++
-
-		// Parallel pipelines tighten lw from the shared θ as earlier
-		// candidates finalize; θ only decreases, so lw only tightens.
-		if s.liveTheta != nil && head%liveThetaEvery == 0 && head > 0 {
-			if lw2 := s.e.Rank.LoosenessThreshold(s.liveTheta.load(), s.liveDist); lw2 < lw {
-				lw = lw2
-			}
-		}
 
 		// Pruning Rule 2 (Lemma 1): every undiscovered keyword lies at
 		// distance >= d(p, cur).

@@ -22,7 +22,7 @@ type peekSpatial interface {
 }
 
 // streamSource adapts the incremental nearest-place stream (R-tree or
-// grid browser) to the candidate pipeline for BSP and SPP: candidates
+// grid browser) to the evaluation loop for BSP and SPP: candidates
 // arrive in ascending spatial distance, bounded below by MinScore(dist)
 // (Algorithm 1 line 7). MaxDist ends the stream — it is distance-ordered,
 // so the radius cap is a termination condition.
@@ -94,14 +94,12 @@ func (s *streamSource) fillWindow(w int, buf []windowCand) ([]windowCand, float6
 // spSource drives SP's best-first traversal (Algorithm 4): one priority
 // queue holds R-tree nodes and places keyed by their α-bounds on the
 // ranking score; node expansion applies Pruning Rules 3 and 4 against
-// the current θ. With the exact θ (serial) the produced stream is
-// exactly Algorithm 4's; with a stale θ (parallel producer) it is a
-// superset in the same non-decreasing bound order, which the finalizer's
-// exact checks reduce to the serial result (DESIGN.md §8).
+// the current θ read from Hk, so the produced stream is exactly
+// Algorithm 4's.
 type spSource struct {
 	e       *Engine
 	qv      *alpha.QueryView
-	theta   func() float64
+	hk      *topK
 	qloc    geo.Point
 	maxDist float64
 	stats   *Stats
@@ -113,7 +111,7 @@ func (s *spSource) next() (candidate, bool) {
 		ent := s.pqueue.pop()
 		// Termination (Algorithm 4 line 9): every remaining entry's bound
 		// is at least ent.bound.
-		if ent.bound >= s.theta() {
+		if ent.bound >= s.hk.theta() {
 			return candidate{}, false
 		}
 		if ent.node == nil {
@@ -126,7 +124,7 @@ func (s *spSource) next() (candidate, bool) {
 		s.stats.RTreeNodeAccesses++
 		s.e.noteRTreeAccess()
 		n := ent.node
-		th := s.theta()
+		th := s.hk.theta()
 		if n.Leaf {
 			for _, it := range n.Items {
 				d := s.qloc.Dist(it.Loc)

@@ -129,14 +129,11 @@ func (e *Engine) spLoop(pq *prepQuery, opts Options, hk *topK, stats *Stats) err
 		return err
 	}
 	qloc := pq.loc.Loc
-	mk := func(st *Stats, theta func() float64) (candSource, error) {
-		src := &spSource{e: e, qv: qv, theta: theta, qloc: qloc, maxDist: opts.MaxDist, stats: st}
-		if e.Tree.Len() > 0 {
-			root := e.Tree.Root()
-			d := root.Rect.MinDist(qloc)
-			src.pqueue.push(spEntry{bound: e.Rank.Score(qv.NodeBound(root.ID), d), dist: d, node: root})
-		}
-		return src, nil
+	src := &spSource{e: e, qv: qv, hk: hk, qloc: qloc, maxDist: opts.MaxDist, stats: stats}
+	if e.Tree.Len() > 0 {
+		root := e.Tree.Root()
+		d := root.Rect.MinDist(qloc)
+		src.pqueue.push(spEntry{bound: e.Rank.Score(qv.NodeBound(root.ID), d), dist: d, node: root})
 	}
-	return e.run(mk, pq, opts, hk, stats, e.Reach != nil && !opts.NoRule1, !opts.NoRule2)
+	return e.run(src, pq, opts, hk, stats, e.Reach != nil && !opts.NoRule1, !opts.NoRule2)
 }

@@ -42,14 +42,12 @@ func (e *Engine) SPP(q Query, opts Options) (results []Result, stats *Stats, err
 }
 
 func (e *Engine) sppLoop(pq *prepQuery, opts Options, hk *topK, stats *Stats) error {
-	mk := func(st *Stats, _ func() float64) (candSource, error) {
-		br, err := e.source(pq.loc.Loc, opts)
-		if err != nil {
-			return nil, err
-		}
-		return &streamSource{br: br, rank: e.Rank, maxDist: opts.MaxDist, stats: st}, nil
+	br, err := e.source(pq.loc.Loc, opts)
+	if err != nil {
+		return err
 	}
-	return e.run(mk, pq, opts, hk, stats, !opts.NoRule1, !opts.NoRule2)
+	src := &streamSource{br: br, rank: e.Rank, maxDist: opts.MaxDist, stats: stats}
+	return e.run(src, pq, opts, hk, stats, !opts.NoRule1, !opts.NoRule2)
 }
 
 // unqualified applies Pruning Rule 1: the place is discarded when some

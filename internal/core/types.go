@@ -1,7 +1,6 @@
 package core
 
 import (
-	"runtime"
 	"time"
 
 	"ksp/internal/geo"
@@ -39,13 +38,6 @@ type Options struct {
 	// means nearby). All algorithms honour it and use it as an extra
 	// termination bound.
 	MaxDist float64
-	// Parallelism selects the number of TQSP workers in the pipelined
-	// evaluation of BSP/SPP/SP: candidates are produced in the serial
-	// algorithm's order, fanned out to a worker pool for concurrent TQSP
-	// construction, and finalized in order so results are identical to a
-	// serial run (see DESIGN.md §8). 0 or 1 runs the classic serial
-	// loops; negative selects GOMAXPROCS. TA is always serial.
-	Parallelism int
 	// Window sets the candidate-window size of the windowed, bound-ordered
 	// scheduler in BSP/SPP/SP (DESIGN.md §11): the spatial stream is
 	// consumed in bulk pops of W places, each window is screened with
@@ -57,41 +49,16 @@ type Options struct {
 	// identical under every setting — only the work counters change. TA
 	// and keyword search ignore it.
 	Window int
-	// PipelineDepth bounds, per worker, how far the parallel pipeline's
-	// producer may run ahead of the finalizer: each worker's deque holds
-	// at most PipelineDepth waiting candidates and the reorder buffer at
-	// most PipelineDepth × workers, so no more than 2 × PipelineDepth ×
-	// workers candidates ever sit between production and finalization
-	// (the backpressure invariant — see resolveDepth). 0 (the default)
-	// derives the depth from the worker count and window size, adjusted
-	// by the engine's starvation feedback; explicit values disable that
-	// feedback for the query and clamp to an internal maximum (64).
-	// Results are identical under every depth — only scheduling, memory,
-	// and the amount of speculative work a θ drop can waste change.
-	// Ignored by serial runs.
-	PipelineDepth int
 	// Cancel aborts evaluation early when the channel is closed (e.g. an
 	// HTTP client disconnecting: pass Request.Context().Done()). Partial
 	// statistics are reported with Stats.Cancelled set.
 	Cancel <-chan struct{}
 	// Trace, when non-nil, receives a tree of timed spans covering the
 	// query's phases (prepare, place browsing, per-candidate TQSP
-	// construction, pruning decisions; producer/worker/finalize stages of
-	// a parallel run). All span calls are nil-safe, so a nil Trace costs
-	// nothing. The caller owns the trace and calls Finish/JSON on it.
+	// construction, pruning decisions). All span calls are nil-safe, so a
+	// nil Trace costs nothing. The caller owns the trace and calls
+	// Finish/JSON on it.
 	Trace *obs.Trace
-}
-
-// workers resolves Options.Parallelism to a worker count.
-func (o Options) workers() int {
-	switch {
-	case o.Parallelism < 0:
-		return runtime.GOMAXPROCS(0)
-	case o.Parallelism == 0:
-		return 1
-	default:
-		return o.Parallelism
-	}
 }
 
 // Result is one TQSP in a kSP answer.
@@ -171,14 +138,6 @@ type Stats struct {
 	WindowCandidates     int64
 	WindowScreenKilled   int64
 	WindowDeferredKilled int64
-	// Steals counts candidates a parallel worker took from a peer's
-	// deque; OwnPops counts candidates taken from the worker's own
-	// deque (Steals + OwnPops = candidates that reached a worker).
-	// WorkerIdle is the total time workers spent parked waiting for
-	// candidates, summed across workers. All zero in serial runs.
-	Steals     int64
-	OwnPops    int64
-	WorkerIdle time.Duration
 	// SemanticTime is the time spent constructing TQSPs; OtherTime is the
 	// remaining runtime (spatial search, reachability queries, bounds) —
 	// the two bar segments of the paper's runtime figures.
@@ -222,9 +181,6 @@ func (s *Stats) Add(o *Stats) {
 	s.WindowCandidates += o.WindowCandidates
 	s.WindowScreenKilled += o.WindowScreenKilled
 	s.WindowDeferredKilled += o.WindowDeferredKilled
-	s.Steals += o.Steals
-	s.OwnPops += o.OwnPops
-	s.WorkerIdle += o.WorkerIdle
 	s.SemanticTime += o.SemanticTime
 	s.OtherTime += o.OtherTime
 	if o.TimedOut {

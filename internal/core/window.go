@@ -148,14 +148,13 @@ type screened struct {
 }
 
 // windowSource implements candSource over a bulkCandSource: fill, screen,
-// sort, emit. It is driven by one goroutine (the serial loop or the
-// parallel producer), like every candSource.
+// sort, emit.
 type windowSource struct {
 	e     *Engine
 	inner bulkCandSource
 	pq    *prepQuery
 	qv    *alpha.QueryView // nil unless rule2 screening and α enabled
-	theta func() float64
+	hk    *topK
 	stats *Stats
 	rule1 bool // screen with reachability (Rule 1)
 	rule2 bool // screen with semantic lower bounds
@@ -170,10 +169,10 @@ type windowSource struct {
 	done   bool
 }
 
-func newWindowSource(e *Engine, inner bulkCandSource, pq *prepQuery, qv *alpha.QueryView, theta func() float64, st *Stats, w int, adaptive bool, rule1, rule2 bool) *windowSource {
+func newWindowSource(e *Engine, inner bulkCandSource, pq *prepQuery, qv *alpha.QueryView, hk *topK, st *Stats, w int, adaptive bool, rule1, rule2 bool) *windowSource {
 	//ksplint:ignore allocbound -- one source per query, inside TestAllocBudget's budget
 	return &windowSource{
-		e: e, inner: inner, pq: pq, qv: qv, theta: theta, stats: st,
+		e: e, inner: inner, pq: pq, qv: qv, hk: hk, stats: st,
 		rule1: rule1, rule2: rule2,
 		w: w, adaptive: adaptive,
 		resume: math.Inf(-1),
@@ -183,7 +182,7 @@ func newWindowSource(e *Engine, inner bulkCandSource, pq *prepQuery, qv *alpha.Q
 func (ws *windowSource) next() (candidate, bool) {
 	for {
 		if ws.at < len(ws.win) {
-			th := ws.theta()
+			th := ws.hk.theta()
 			head := ws.win[ws.at]
 			if head.screenBound < th {
 				ws.at++
@@ -205,7 +204,7 @@ func (ws *windowSource) next() (candidate, bool) {
 		// reaches θ the stream is finished, exactly like the serial
 		// termination test with the resume distance standing in for the
 		// next GETNEXT distance.
-		if ws.resume >= ws.theta() {
+		if ws.resume >= ws.hk.theta() {
 			ws.done = true
 			return candidate{}, false
 		}
@@ -229,7 +228,7 @@ func (ws *windowSource) fill() {
 	ws.stats.WindowCandidates += int64(len(batch))
 	ws.e.noteWindowFill(len(batch))
 
-	th := ws.theta()
+	th := ws.hk.theta()
 	ws.win = ws.win[:0]
 	ws.at = 0
 	killed := 0
@@ -327,27 +326,21 @@ func (ws *windowSource) close() {
 	ws.inner.close()
 }
 
-// windowFactory wraps a sourceFactory so the loops consume the windowed,
+// wrapWindow wraps a candidate source so the loop consumes the windowed,
 // bound-ordered stream. Rule 1 moves into the screens; the caller must
-// pass rule1=false to the evaluation loop.
-func (e *Engine) windowFactory(inner sourceFactory, pq *prepQuery, w int, adaptive bool, rule1, rule2 bool) sourceFactory {
-	return func(st *Stats, theta func() float64) (candSource, error) {
-		src, err := inner(st, theta)
-		if err != nil {
-			return nil, err
-		}
-		bulk, ok := src.(bulkCandSource)
-		if !ok {
-			bulk = &genericBulk{src: src} //ksplint:ignore allocbound -- one adapter per query, only for non-bulk sources
-		}
-		var qv *alpha.QueryView
-		if rule2 {
-			// Best-effort: a load failure only disables the α screen (the
-			// algorithms that require the view load it themselves and
-			// surface the error there).
-			//ksplint:ignore droppederr -- see above: α screen is optional, the required path re-reports
-			qv, _ = pq.queryView(e)
-		}
-		return newWindowSource(e, bulk, pq, qv, theta, st, w, adaptive, rule1, rule2), nil
+// not re-apply it in the evaluation loop.
+func (e *Engine) wrapWindow(src candSource, pq *prepQuery, hk *topK, st *Stats, w int, adaptive bool, rule1, rule2 bool) candSource {
+	bulk, ok := src.(bulkCandSource)
+	if !ok {
+		bulk = &genericBulk{src: src} //ksplint:ignore allocbound -- one adapter per query, only for non-bulk sources
 	}
+	var qv *alpha.QueryView
+	if rule2 {
+		// Best-effort: a load failure only disables the α screen (the
+		// algorithms that require the view load it themselves and
+		// surface the error there).
+		//ksplint:ignore droppederr -- see above: α screen is optional, the required path re-reports
+		qv, _ = pq.queryView(e)
+	}
+	return newWindowSource(e, bulk, pq, qv, hk, st, w, adaptive, rule1, rule2)
 }

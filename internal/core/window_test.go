@@ -11,9 +11,8 @@ import (
 // The tentpole equivalence sweep for windowed scheduling: across random
 // datasets and queries, every algorithm under every window size — fixed
 // W ∈ {1, 2, 7, 64} and the adaptive policy (0) — must return results
-// bit-identical to the seed serial loop (Window: 1), under both the
-// serial and the parallel pipeline, with and without the looseness
-// cache, trees included.
+// bit-identical to the classic loop (Window: 1), with and without the
+// looseness cache, trees included.
 func TestWindowedMatchesSerial(t *testing.T) {
 	configs := []gen.Config{
 		gen.DBpediaConfig(1500, 1001),
@@ -37,21 +36,19 @@ func TestWindowedMatchesSerial(t *testing.T) {
 			k := 1 + rng.Intn(8)
 			loc, kws := qg.Original(m)
 			q := Query{Loc: loc, Keywords: kws, K: k}
-			for _, a := range pipelineAlgos {
+			for _, a := range loopAlgos {
 				want, _, err := a.run(ref, q, Options{CollectTrees: true, Window: 1})
 				if err != nil {
-					t.Fatalf("%s seed serial: %v", a.name, err)
+					t.Fatalf("%s classic loop: %v", a.name, err)
 				}
 				for _, e := range []*Engine{ref, cached} {
 					for _, win := range windows {
-						for _, par := range []int{0, 4} {
-							got, _, err := a.run(e, q, Options{CollectTrees: true, Window: win, Parallelism: par})
-							if err != nil {
-								t.Fatalf("%s window=%d par=%d: %v", a.name, win, par, err)
-							}
-							identicalResults(t, a.name, got, want)
-							sameTrees(t, a.name, got, want)
+						got, _, err := a.run(e, q, Options{CollectTrees: true, Window: win})
+						if err != nil {
+							t.Fatalf("%s window=%d: %v", a.name, win, err)
 						}
+						identicalResults(t, a.name, got, want)
+						sameTrees(t, a.name, got, want)
 					}
 				}
 			}

@@ -7,8 +7,8 @@ import "strconv"
 // ({"displayTimeUnit": "ms", "traceEvents": [...]}), so any ?trace=1
 // capture opens directly in a flamegraph viewer. Every span becomes one
 // "ph":"X" complete event with microsecond ts/dur. Spans that overlap a
-// sibling without nesting inside it (parallel workers, hedged shard
-// attempts) are pushed onto their own track (tid) — the viewers render
+// sibling without nesting inside it (concurrent shard calls, hedged
+// shard attempts) are pushed onto their own track (tid) — the viewers render
 // same-track events by containment, so overlap on one track would draw
 // a wrong nesting.
 
@@ -82,8 +82,8 @@ func (c *perfettoConv) emit(s *SpanJSON, parentTID int) {
 // lane keeps a span on its parent's track when it nests properly inside
 // every event still open there (events on one tid must form a laminar
 // family — viewers draw same-track events by containment); otherwise —
-// an overlapping sibling, as parallel workers or a hedge racing the
-// first attempt produce — it opens a fresh track. Each track carries a
+// an overlapping sibling, as concurrent shard calls or a hedge racing
+// the first attempt produce — it opens a fresh track. Each track carries a
 // stack of open intervals; entries are popped lazily once a later span
 // starts at or after their end, so a sibling is compared against its
 // deepest still-open ancestor, not merely the last emitted event.

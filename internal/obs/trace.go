@@ -15,9 +15,9 @@ import (
 // is created per request (only when asked for — tracing is opt-in per
 // query), handed to the engine, and rendered to JSON afterwards.
 //
-// Concurrency: span creation and field writes lock the trace, so the
-// parallel pipeline's producer, workers and finalizer may all open
-// spans on one trace. Reading (JSON) must happen after the query
+// Concurrency: span creation and field writes lock the trace, so a
+// shard coordinator's concurrent shard calls and hedged attempts may
+// all open spans on one trace. Reading (JSON) must happen after the query
 // completes.
 //
 // Every method is nil-safe: with a nil *Trace (tracing off) the whole
@@ -266,7 +266,8 @@ func exportSpan(s *Span) *SpanJSON {
 	}
 	end := s.end
 	if !s.ended {
-		// An unended span (e.g. abandoned by a halted pipeline stage)
+		// An unended span (e.g. a losing hedged shard attempt still in
+		// flight)
 		// reports zero duration rather than a bogus wall-clock read.
 		end = s.start
 	}

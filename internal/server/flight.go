@@ -13,7 +13,7 @@ import (
 // same query share one evaluation. The first request to register becomes
 // the leader — it holds its admission grant and runs the engine; every
 // later identical request becomes a follower, returns its admission
-// width immediately, and waits for the leader's result. A flight lives
+// slot immediately, and waits for the leader's result. A flight lives
 // in the map only while its evaluation runs, so the mechanism never
 // serves stale answers — it only collapses genuinely concurrent
 // duplicates (a thundering herd behind a cache, a retry storm).
@@ -30,7 +30,7 @@ import (
 // for both. Keywords sort (and de-blank) so order and spacing don't
 // split flights; coordinates round to 1e-6 — far below any meaningful
 // spatial resolution — so jittered clients still coalesce.
-func flightKey(algo ksp.Algorithm, x, y float64, kws []string, k int, trees bool, parallel, window int, maxDist float64) string {
+func flightKey(algo ksp.Algorithm, x, y float64, kws []string, k int, trees bool, window int, maxDist float64) string {
 	sorted := make([]string, 0, len(kws))
 	for _, kw := range kws {
 		if kw = strings.TrimSpace(kw); kw != "" {
@@ -39,8 +39,8 @@ func flightKey(algo ksp.Algorithm, x, y float64, kws []string, k int, trees bool
 	}
 	sort.Strings(sorted)
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s|%.6f|%.6f|k=%d|t=%t|p=%d|w=%d|d=%g",
-		algo.String(), x, y, k, trees, parallel, window, maxDist)
+	fmt.Fprintf(&b, "%s|%.6f|%.6f|k=%d|t=%t|w=%d|d=%g",
+		algo.String(), x, y, k, trees, window, maxDist)
 	for _, kw := range sorted {
 		b.WriteByte('\x00')
 		b.WriteString(kw)

@@ -12,24 +12,21 @@ import (
 	"ksp/internal/faultinject"
 )
 
-// The work-stealing concurrency hammer (ISSUE 6): many concurrent
-// /search requests through the parallel pipeline while faultinject
-// panics fire probabilistically inside producer, workers and finalizer,
-// and a slice of clients cancel mid-flight. Every request must resolve
-// to a well-formed outcome (200, 500 from a contained panic, or a client
-// cancellation) and — via the package TestMain leak check — no pipeline
-// goroutine may outlive its request. Run under -race in CI's multicore
-// job.
-func TestHammerParallelSearchChaos(t *testing.T) {
+// The request-concurrency hammer: many concurrent /search requests
+// share one engine (its pooled scratch and looseness cache) while
+// faultinject panics fire probabilistically in the evaluation loop,
+// the window fill and TQSP construction, and a slice of clients cancel
+// mid-flight. Every request must resolve to a well-formed outcome (200,
+// 500 from a contained panic, or a client cancellation) and — via the
+// package TestMain leak check — no goroutine may outlive its request.
+// Run under -race in CI's determinism job.
+func TestHammerSearchChaos(t *testing.T) {
 	srv := newTestServer(t, func(s *Server) {
-		s.DefaultParallel = 4
-		s.MaxParallel = 8
-		s.AdmitCapacity = 64 // wide open: contention comes from the pipeline
+		s.AdmitCapacity = 64 // wide open: every client evaluates concurrently
 	})
 	plan := faultinject.NewPlan(1337).
-		Add(faultinject.Fault{Point: core.PointWorker, Action: faultinject.Panic, Prob: 0.02}).
-		Add(faultinject.Fault{Point: core.PointProducer, Action: faultinject.Panic, Prob: 0.01}).
-		Add(faultinject.Fault{Point: core.PointFinalizer, Action: faultinject.Panic, Prob: 0.01}).
+		Add(faultinject.Fault{Point: core.PointSerialCandidate, Action: faultinject.Panic, Prob: 0.02}).
+		Add(faultinject.Fault{Point: core.PointWindowFill, Action: faultinject.Panic, Prob: 0.01}).
 		Add(faultinject.Fault{Point: core.PointBFS, Action: faultinject.Panic, Prob: 0.002})
 	faultinject.Activate(plan)
 	t.Cleanup(faultinject.Deactivate)
@@ -48,8 +45,8 @@ func TestHammerParallelSearchChaos(t *testing.T) {
 					// A third of the clients disconnect mid-query.
 					time.AfterFunc(time.Duration(r%5)*100*time.Microsecond, cancel)
 				}
-				url := fmt.Sprintf("%s/search?x=%d&y=%d&kw=roman,history&k=2&parallel=%d&window=%d",
-					srv.URL, c%7, r%7, 2+(c+r)%4, []int{0, 1, 4, 16}[r%4])
+				url := fmt.Sprintf("%s/search?x=%d&y=%d&kw=roman,history&k=2&window=%d",
+					srv.URL, c%7, r%7, []int{0, 1, 4, 16}[r%4])
 				req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 				if err != nil {
 					t.Error(err)
@@ -89,24 +86,8 @@ func TestHammerParallelSearchChaos(t *testing.T) {
 	// The dataset must still answer cleanly once the chaos plan is gone.
 	faultinject.Deactivate()
 	var got SearchResponse
-	resp := getJSON(t, srv.URL+"/search?x=0&y=0&kw=roman,history&k=2&parallel=4", &got)
+	resp := getJSON(t, srv.URL+"/search?x=0&y=0&kw=roman,history&k=2", &got)
 	if resp.StatusCode != http.StatusOK || len(got.Results) != 2 {
 		t.Fatalf("post-chaos search: status %d, %d results", resp.StatusCode, len(got.Results))
-	}
-	if got.Stats.Steals+got.Stats.OwnPops == 0 {
-		t.Error("parallel query reported no deque activity")
-	}
-
-	// The scheduler section must be live and reconciled in /stats.
-	var st StatsResponse
-	getJSON(t, srv.URL+"/stats", &st)
-	if st.Scheduler == nil {
-		t.Fatal("scheduler section missing after parallel queries")
-	}
-	if st.Scheduler.ParallelQueries == 0 || st.Scheduler.Steals+st.Scheduler.OwnPops == 0 {
-		t.Errorf("scheduler section not populated: %+v", st.Scheduler)
-	}
-	if st.Scheduler.StealRate < 0 || st.Scheduler.StealRate > 1 {
-		t.Errorf("steal rate %v out of range", st.Scheduler.StealRate)
 	}
 }

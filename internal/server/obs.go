@@ -89,10 +89,10 @@ func (s *Server) registerMetrics(reg *obs.Registry) {
 		return AdmissionSection{}
 	}
 	reg.GaugeFunc("ksp_server_admission_capacity",
-		"Total evaluation width the admission controller grants at once.",
+		"Requests the admission controller lets evaluate at once.",
 		func() float64 { return float64(snap().Capacity) })
 	reg.GaugeFunc("ksp_server_admission_in_use",
-		"Evaluation width currently held by admitted requests.",
+		"Admission slots currently held by evaluating requests.",
 		func() float64 { return float64(snap().InUse) })
 	reg.GaugeFunc("ksp_server_admission_queue_depth",
 		"Requests currently queued for admission.",

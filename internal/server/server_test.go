@@ -243,46 +243,6 @@ func TestGetOnlyEndpoints(t *testing.T) {
 	}
 }
 
-// ?parallel= must be validated, clamped to MaxParallel, and echoed in the
-// response stats; results must match the serial run.
-func TestParallelParam(t *testing.T) {
-	ds, err := ksp.Open(strings.NewReader(fixtureNT), ksp.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := New(ds)
-	h.MaxParallel = 2
-	srv := httptest.NewServer(h)
-	defer srv.Close()
-
-	var serial, par SearchResponse
-	getJSON(t, srv.URL+"/search?x=0&y=0&kw=roman,history&k=2", &serial)
-	resp := getJSON(t, srv.URL+"/search?x=0&y=0&kw=roman,history&k=2&parallel=16", &par)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d", resp.StatusCode)
-	}
-	if par.Stats.Parallelism != 2 {
-		t.Errorf("parallelism = %d, want clamped 2", par.Stats.Parallelism)
-	}
-	if len(par.Results) != len(serial.Results) {
-		t.Fatalf("parallel results differ: %+v vs %+v", par.Results, serial.Results)
-	}
-	for i := range serial.Results {
-		if par.Results[i].URI != serial.Results[i].URI || par.Results[i].Score != serial.Results[i].Score {
-			t.Errorf("result %d differs: %+v vs %+v", i, par.Results[i], serial.Results[i])
-		}
-	}
-
-	resp = getJSON(t, srv.URL+"/search?x=0&y=0&kw=roman&parallel=bogus", nil)
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("bogus parallel: status %d, want 400", resp.StatusCode)
-	}
-	resp = getJSON(t, srv.URL+"/search?x=0&y=0&kw=roman&parallel=-1", nil)
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("negative parallel: status %d, want 400", resp.StatusCode)
-	}
-}
-
 // /stats must expose looseness-cache counters when the cache is enabled
 // and omit the section when it is not.
 func TestStatsCacheSection(t *testing.T) {

@@ -18,13 +18,13 @@ import (
 // requests evaluate through the coordinator instead of the single local
 // engine. The response shape is the same SearchResponse — clients need
 // not know whether one engine or seven answered — extended with the
-// Degraded flag and the per-shard Status list. Failure modes:
+// degraded reason code and the per-shard Status list. Failure modes:
 //
 //   - every shard failed → 503 with Retry-After (the breaker cooldown)
 //     and a machine-readable degradedError body naming each shard's
 //     error;
-//   - some shards failed → 200 with partial=true, degraded=true, a
-//     Lemma-1-sound scoreLowerBound, and per-result exact flags;
+//   - some shards failed → 200 with partial=true, degraded="shard-loss",
+//     a Lemma-1-sound scoreLowerBound, and per-result exact flags;
 //   - client disconnected → no response (status 499 in the query log).
 
 // AttachShards switches /search to scatter-gather through c and wires
@@ -38,18 +38,21 @@ func (s *Server) AttachShards(c *shard.Coordinator) {
 }
 
 // degradedError is the machine-readable 503 body for a gather that
-// produced no usable answer. Reason is a stable code (see the Degraded*
-// constants); Shards carries each shard's outcome and error string.
+// produced no usable answer. Degraded is a stable reason code (see the
+// Degraded* constants) under the same string-typed key a 200
+// SearchResponse uses; Shards carries each shard's outcome and error
+// string.
 type degradedError struct {
-	Error  string `json:"error"`
-	Reason string `json:"degraded"`
+	Error    string `json:"error"`
+	Degraded string `json:"degraded"`
 	// RetryAfterSeconds mirrors the Retry-After header for clients that
 	// only parse bodies.
 	RetryAfterSeconds int            `json:"retryAfterSeconds"`
 	Shards            []shard.Status `json:"shards,omitempty"`
 }
 
-// Stable degraded-reason codes carried in degradedError.Reason.
+// Stable degraded-reason codes carried in the "degraded" field of
+// SearchResponse (200) and degradedError (503).
 const (
 	// DegradedAllShardsFailed: every dispatched shard errored or was
 	// breaker-rejected; no sound prefix exists.
@@ -59,7 +62,8 @@ const (
 	DegradedGatherTimeout = "gather-timeout"
 	// DegradedShardLoss: the gather answered (200) but lost at least one
 	// shard or got only a partial from one — the merged prefix is still
-	// Lemma-1 sound. Appears in wide events, not error bodies.
+	// Lemma-1 sound. Appears in 200 responses and wide events, not error
+	// bodies.
 	DegradedShardLoss = "shard-loss"
 )
 
@@ -78,12 +82,11 @@ func (s *Server) searchSharded(w http.ResponseWriter, r *http.Request, release f
 	}
 	tr := obs.TraceFromContext(r.Context())
 	rec := obs.QueryRecord{
-		ID:          obs.RequestIDFromContext(r.Context()),
-		Endpoint:    "/search",
-		Algo:        req.Algo.String(),
-		Keywords:    strings.Join(req.Keywords, ","),
-		K:           req.K,
-		Parallelism: req.Parallel,
+		ID:       obs.RequestIDFromContext(r.Context()),
+		Endpoint: "/search",
+		Algo:     req.Algo.String(),
+		Keywords: strings.Join(req.Keywords, ","),
+		K:        req.K,
 	}
 	begin := time.Now()
 	g, err := s.Shards.Search(ctx, req)
@@ -143,7 +146,7 @@ func (s *Server) searchSharded(w http.ResponseWriter, r *http.Request, release f
 	resp := SearchResponse{
 		Results:  make([]SearchResult, 0, len(g.Results)),
 		Partial:  g.Partial,
-		Degraded: g.Degraded,
+		Degraded: degraded,
 		Shards:   g.Shards,
 		Stats: QueryStats{
 			Algorithm:            req.Algo.String(),
@@ -151,7 +154,6 @@ func (s *Server) searchSharded(w http.ResponseWriter, r *http.Request, release f
 			Micros:               elapsed.Microseconds(),
 			TQSPComputations:     g.Stats.TQSPComputations,
 			RTreeNodeAccesses:    g.Stats.RTreeNodeAccesses,
-			Parallelism:          req.Parallel,
 			Window:               req.Window,
 			WindowsFilled:        g.Stats.WindowsFilled,
 			WindowCandidates:     g.Stats.WindowCandidates,
@@ -160,9 +162,6 @@ func (s *Server) searchSharded(w http.ResponseWriter, r *http.Request, release f
 			CacheHits:            g.Stats.CacheHits,
 			CacheBoundHits:       g.Stats.CacheBoundHits,
 			CacheMisses:          g.Stats.CacheMisses,
-			Steals:               g.Stats.Steals,
-			OwnPops:              g.Stats.OwnPops,
-			WorkerIdleMicros:     g.Stats.WorkerIdle.Microseconds(),
 			TimedOut:             g.Stats.TimedOut,
 			Cancelled:            g.Stats.Cancelled,
 		},
@@ -182,8 +181,7 @@ func (s *Server) searchSharded(w http.ResponseWriter, r *http.Request, release f
 		// table is the gather's own MinDist-ordered shard outcomes.
 		rep := s.ds.ExplainFor(req.Algo,
 			ksp.Query{Loc: ksp.Point{X: req.X, Y: req.Y}, Keywords: req.Keywords, K: req.K},
-			ksp.Options{CollectTrees: req.CollectTrees, MaxDist: req.MaxDist,
-				Parallelism: req.Parallel, Window: req.Window},
+			ksp.Options{CollectTrees: req.CollectTrees, MaxDist: req.MaxDist, Window: req.Window},
 			&g.Stats, len(g.Results))
 		rep.Shards = explainShards(g.Shards)
 		resp.Explain = rep
@@ -219,7 +217,7 @@ func (s *Server) writeDegraded(w http.ResponseWriter, reason string, err error, 
 	w.Header().Set("Retry-After", strconv.Itoa(retry))
 	body := degradedError{
 		Error:             err.Error(),
-		Reason:            reason,
+		Degraded:          reason,
 		RetryAfterSeconds: retry,
 	}
 	if g != nil {

@@ -5,16 +5,18 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"ksp"
-	"ksp/internal/faultinject"
+	"ksp/internal/obs"
 	"ksp/internal/shard"
 )
 
@@ -100,8 +102,8 @@ func TestShardedSearchMatchesSingleEngine(t *testing.T) {
 		if !reflect.DeepEqual(got.Results, want.Results) {
 			t.Errorf("%s: sharded results diverge:\n%+v\n%+v", q, got.Results, want.Results)
 		}
-		if got.Partial || got.Degraded {
-			t.Errorf("%s: healthy sharded response flagged partial=%v degraded=%v", q, got.Partial, got.Degraded)
+		if got.Partial || got.Degraded != "" {
+			t.Errorf("%s: healthy sharded response flagged partial=%v degraded=%q", q, got.Partial, got.Degraded)
 		}
 		for _, st := range got.Shards {
 			switch st.State {
@@ -113,8 +115,8 @@ func TestShardedSearchMatchesSingleEngine(t *testing.T) {
 	}
 }
 
-// Losing one shard degrades to a sound partial 200: partial+degraded
-// set, a positive score floor, per-shard error detail, and exactness
+// Losing one shard degrades to a sound partial 200: partial set,
+// degraded="shard-loss", a positive score floor, per-shard error detail, and exactness
 // flags honest against the floor.
 func TestShardedSearchDegradedOnShardFailure(t *testing.T) {
 	ds := fixtureDS(t)
@@ -133,8 +135,8 @@ func TestShardedSearchDegradedOnShardFailure(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d, want 200 (sound partial)", resp.StatusCode)
 	}
-	if !got.Partial || !got.Degraded {
-		t.Fatalf("partial=%v degraded=%v, want both true", got.Partial, got.Degraded)
+	if !got.Partial || got.Degraded != DegradedShardLoss {
+		t.Fatalf("partial=%v degraded=%q, want true and %q", got.Partial, got.Degraded, DegradedShardLoss)
 	}
 	if got.ScoreLowerBound <= 0 {
 		t.Fatalf("scoreLowerBound = %v, want the dead shard's MinDist floor", got.ScoreLowerBound)
@@ -161,7 +163,8 @@ func TestShardedSearchDegradedOnShardFailure(t *testing.T) {
 }
 
 // Every shard dead: 503 with Retry-After and the machine-readable
-// degraded body.
+// degraded body, whose "degraded" key has the same string type as on a
+// 200 SearchResponse.
 func TestShardedSearchAllFailed(t *testing.T) {
 	ds := fixtureDS(t)
 	cfg := quietShardCfg()
@@ -170,10 +173,9 @@ func TestShardedSearchAllFailed(t *testing.T) {
 	srv, _ := shardedServer(t, ds, cfg, &failShard{name: "only"})
 
 	var body struct {
-		Error             string         `json:"error"`
-		Reason            string         `json:"degraded"`
-		RetryAfterSeconds int            `json:"retryAfterSeconds"`
-		Shards            []shard.Status `json:"shards"`
+		SearchResponse
+		Error             string `json:"error"`
+		RetryAfterSeconds int    `json:"retryAfterSeconds"`
 	}
 	resp := getJSON(t, srv.URL+"/search?x=0&y=0&kw=roman&k=1", &body)
 	if resp.StatusCode != http.StatusServiceUnavailable {
@@ -182,8 +184,8 @@ func TestShardedSearchAllFailed(t *testing.T) {
 	if ra := resp.Header.Get("Retry-After"); ra != "7" {
 		t.Errorf("Retry-After = %q, want %q (the breaker cooldown)", ra, "7")
 	}
-	if body.Reason != DegradedAllShardsFailed {
-		t.Errorf("degraded reason = %q, want %q", body.Reason, DegradedAllShardsFailed)
+	if body.Degraded != DegradedAllShardsFailed {
+		t.Errorf("degraded reason = %q, want %q", body.Degraded, DegradedAllShardsFailed)
 	}
 	if body.RetryAfterSeconds != 7 || body.Error == "" {
 		t.Errorf("body = %+v", body)
@@ -274,12 +276,114 @@ func TestShardedStatsSections(t *testing.T) {
 	}
 }
 
-// The shard chaos hammer: concurrent sharded searches while faults
-// kill, stall, and truncate shard calls — shards effectively dying and
-// reviving mid-run via breaker trips and short cooldowns. Every request
-// must resolve to a well-formed outcome (200 exact, 200 sound partial,
-// or a degraded 503), and the package leak check must stay clean. The
-// companion to TestHammerParallelSearchChaos, one layer up.
+// chaosShard wraps a healthy shard with a fault schedule that is a pure
+// function of (seed, request index, shard, call number). The request
+// index rides in the X-Request-ID header ("chaos-<i>"), which the server
+// threads into the context every shard call receives, so the fault a
+// call meets never depends on which request arrived first. Calls
+// without a chaos request ID (the post-chaos probes) pass through.
+type chaosShard struct {
+	shard.Shard
+	seed  int64
+	mu    sync.Mutex
+	calls map[int]int // request index → calls made (retries and hedges)
+}
+
+type chaosFault int
+
+const (
+	chaosNone     chaosFault = iota
+	chaosError               // the call fails
+	chaosStall               // the call answers after chaosStallFor
+	chaosTruncate            // the call answers with its result tail dropped
+)
+
+const (
+	chaosClients    = 6
+	chaosRounds     = 10
+	chaosStallFor   = 30 * time.Millisecond
+	chaosKillEvery  = 10 // every 10th request fails on every shard
+	chaosCleanEvery = 3  // every 3rd round is fault-free
+)
+
+// chaosSchedule assigns the fault of one shard call. Clean rounds are
+// fault-free; a kill request fails every call on every shard, so it
+// degrades whatever state the breakers are in; every other call draws
+// from the seeded hash at the rates of a flaky network (25% error, 5%
+// stall, 15% truncation).
+func chaosSchedule(seed int64, req int, shardName string, call int) chaosFault {
+	switch {
+	case (req/chaosClients)%chaosCleanEvery == chaosCleanEvery-1:
+		return chaosNone
+	case req%chaosKillEvery == chaosKillEvery-1:
+		return chaosError
+	}
+	h := fnv.New64a()
+	fmt.Fprintf(h, "%d/%d/%s/%d", seed, req, shardName, call)
+	switch u := h.Sum64() % 100; {
+	case u < 25:
+		return chaosError
+	case u < 30:
+		return chaosStall
+	case u < 45:
+		return chaosTruncate
+	}
+	return chaosNone
+}
+
+func (c *chaosShard) Search(ctx context.Context, req shard.Request) (*shard.Response, error) {
+	tag, ok := strings.CutPrefix(obs.RequestIDFromContext(ctx), "chaos-")
+	idx, err := strconv.Atoi(tag)
+	if !ok || err != nil {
+		return c.Shard.Search(ctx, req)
+	}
+	c.mu.Lock()
+	call := c.calls[idx]
+	c.calls[idx]++
+	c.mu.Unlock()
+	switch chaosSchedule(c.seed, idx, c.Name(), call) {
+	case chaosError:
+		return nil, errors.New("injected shard failure")
+	case chaosStall:
+		t := time.NewTimer(chaosStallFor)
+		defer t.Stop()
+		select {
+		case <-t.C:
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+	case chaosTruncate:
+		// Drop the tail half: the first dropped score floors every
+		// dropped (and, results being sorted, every unseen) place.
+		resp, err := c.Shard.Search(ctx, req)
+		if err != nil || len(resp.Results) == 0 {
+			return resp, err
+		}
+		n := len(resp.Results) / 2
+		bound := resp.Results[n].Score
+		if resp.Partial && resp.Bound < bound {
+			bound = resp.Bound
+		}
+		resp.Results, resp.Partial, resp.Bound = resp.Results[:n], true, bound
+		return resp, nil
+	}
+	return c.Shard.Search(ctx, req)
+}
+
+// The shard chaos hammer: waves of concurrent sharded searches while
+// the chaos schedule fails, stalls, and truncates shard calls — shards
+// effectively dying and reviving mid-run via breaker trips and short
+// cooldowns. Every request must resolve to a well-formed outcome (200
+// exact, 200 sound partial, or a degraded 503) whose "degraded" field
+// matches it, and the package leak check must stay clean. The companion
+// to TestHammerSearchChaos, one layer up.
+//
+// The run is deterministic in what it asserts: a kill request in a chaos
+// round is a guaranteed 503, and each clean round starts after every
+// breaker has cooled down with one request alone — the half-open probe —
+// which is a guaranteed exact answer. Breaker interleaving inside a
+// chaos round can only move requests between the exact and degraded
+// counts.
 func TestHammerShardChaos(t *testing.T) {
 	ds := fixtureDS(t)
 	cfg := quietShardCfg()
@@ -290,87 +394,111 @@ func TestHammerShardChaos(t *testing.T) {
 	cfg.HedgeAfter = 10 * time.Millisecond
 	cfg.BreakerThreshold = 2
 	cfg.BreakerCooldown = 20 * time.Millisecond // revive quickly mid-run
-	srv, s := shardedServer(t, ds, cfg, localShards(t, ds, 2)...)
+	var members []shard.Shard
+	for _, m := range localShards(t, ds, 2) {
+		members = append(members, &chaosShard{Shard: m, seed: 4242, calls: map[int]int{}})
+	}
+	srv, s := shardedServer(t, ds, cfg, members...)
+	s.AdmitCapacity = 64 // wide open: the hammer targets the coordinator, not admission
 
-	plan := faultinject.NewPlan(4242).
-		Add(faultinject.Fault{Point: shard.PointCall, Action: faultinject.Panic, Prob: 0.25}).
-		Add(faultinject.Fault{Point: shard.PointCall, Action: faultinject.Stall, Prob: 0.05, StallFor: 30 * time.Millisecond}).
-		Add(faultinject.Fault{Point: shard.PointTruncate, Action: faultinject.Panic, Prob: 0.15})
-	faultinject.Activate(plan)
-	t.Cleanup(faultinject.Deactivate)
-
-	const clients, rounds = 6, 10
 	var okExact, okPartial, degraded503, other int64
 	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			for r := 0; r < rounds; r++ {
-				url := fmt.Sprintf("%s/search?x=%d&y=%d&kw=roman,history&k=2", srv.URL, c%7, r%7)
-				var got SearchResponse
-				resp, err := http.Get(url)
-				if err != nil {
-					t.Errorf("request failed: %v", err)
-					return
-				}
-				status := resp.StatusCode
-				if status == http.StatusOK {
-					if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
-						t.Errorf("decode: %v", err)
-						resp.Body.Close()
-						return
-					}
-				}
-				resp.Body.Close()
-				mu.Lock()
-				switch {
-				case status == http.StatusOK && !got.Partial:
-					okExact++
-				case status == http.StatusOK && got.Partial:
-					okPartial++
-					// Soundness invariant: a result flagged exact must
-					// provably beat the floor. (A zero floor is legitimate —
-					// a truncated shard whose dropped result scored 0 — it
-					// just proves nothing exact.)
-					for _, res := range got.Results {
-						if res.Exact && res.Score >= got.ScoreLowerBound {
-							t.Errorf("exact result at score %v does not beat floor %v", res.Score, got.ScoreLowerBound)
-						}
-					}
-				case status == http.StatusServiceUnavailable:
-					degraded503++
-				default:
-					other++
-					t.Errorf("unexpected status %d", status)
-				}
-				mu.Unlock()
+	search := func(i int) {
+		url := fmt.Sprintf("%s/search?x=%d&y=%d&kw=roman,history&k=2", srv.URL, (i%chaosClients)%7, (i/chaosClients)%7)
+		req, err := http.NewRequest(http.MethodGet, url, nil)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		req.Header.Set("X-Request-ID", fmt.Sprintf("chaos-%d", i))
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Errorf("request %d failed: %v", i, err)
+			return
+		}
+		// 200 and 503 bodies share the string-typed "degraded" key, so
+		// both decode into SearchResponse.
+		var got SearchResponse
+		err = json.NewDecoder(resp.Body).Decode(&got)
+		resp.Body.Close()
+		if err != nil {
+			t.Errorf("request %d: decode: %v", i, err)
+			return
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		switch {
+		case resp.StatusCode == http.StatusOK && !got.Partial:
+			okExact++
+			if got.Degraded != "" {
+				t.Errorf("request %d: exact answer flagged degraded=%q", i, got.Degraded)
 			}
-		}(c)
+		case resp.StatusCode == http.StatusOK:
+			okPartial++
+			if got.Degraded != DegradedShardLoss {
+				t.Errorf("request %d: partial answer degraded=%q, want %q", i, got.Degraded, DegradedShardLoss)
+			}
+			// Soundness invariant: a result flagged exact must provably
+			// beat the floor. (A zero floor is legitimate — a truncated
+			// shard whose dropped result scored 0 — it just proves
+			// nothing exact.)
+			for _, res := range got.Results {
+				if res.Exact && res.Score >= got.ScoreLowerBound {
+					t.Errorf("request %d: exact result at score %v does not beat floor %v", i, res.Score, got.ScoreLowerBound)
+				}
+			}
+		case resp.StatusCode == http.StatusServiceUnavailable:
+			degraded503++
+			if got.Degraded != DegradedAllShardsFailed && got.Degraded != DegradedGatherTimeout {
+				t.Errorf("request %d: 503 degraded=%q", i, got.Degraded)
+			}
+		default:
+			other++
+			t.Errorf("request %d: unexpected status %d", i, resp.StatusCode)
+		}
 	}
-	wg.Wait()
+	for r := 0; r < chaosRounds; r++ {
+		first := r * chaosClients
+		if r%chaosCleanEvery == chaosCleanEvery-1 {
+			// Every breaker the chaos rounds opened has cooled down once
+			// this sleep ends; the lone first request is the half-open
+			// probe that closes them.
+			time.Sleep(cfg.BreakerCooldown + 5*time.Millisecond)
+			search(first)
+			first++
+		}
+		var wg sync.WaitGroup
+		for i := first; i < (r+1)*chaosClients; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				search(i)
+			}(i)
+		}
+		wg.Wait()
+	}
 
 	if okExact == 0 {
 		t.Fatalf("no request fully succeeded (exact=%d partial=%d 503=%d other=%d)",
 			okExact, okPartial, degraded503, other)
 	}
 	if okPartial+degraded503 == 0 {
-		t.Fatal("chaos plan never degraded a request; the hammer is not hammering")
+		t.Fatal("chaos schedule never degraded a request; the hammer is not hammering")
 	}
 
 	// Once the chaos ends the breakers must recover: the cooldown admits
-	// a probe, the probe succeeds, and answers return to exact.
-	faultinject.Deactivate()
+	// a probe, the probe succeeds, and answers return to exact with every
+	// shard answering (a θ-pruned shard would leave its breaker as it
+	// was).
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		var got SearchResponse
 		resp := getJSON(t, srv.URL+"/search?x=0&y=0&kw=roman,history&k=2", &got)
-		if resp.StatusCode == http.StatusOK && !got.Partial && len(got.Results) == 2 {
+		if resp.StatusCode == http.StatusOK && !got.Partial && len(got.Results) == 2 && allShardsOK(got.Shards) {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("shards did not recover post-chaos: status %d partial=%v", resp.StatusCode, got.Partial)
+			t.Fatalf("shards did not recover post-chaos: status %d partial=%v shards=%+v", resp.StatusCode, got.Partial, got.Shards)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
@@ -378,4 +506,13 @@ func TestHammerShardChaos(t *testing.T) {
 	if up != total {
 		t.Errorf("post-chaos Healthy() = %d/%d", up, total)
 	}
+}
+
+func allShardsOK(sts []shard.Status) bool {
+	for _, st := range sts {
+		if st.State != shard.StateOK {
+			return false
+		}
+	}
+	return true
 }

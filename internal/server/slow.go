@@ -66,7 +66,6 @@ func (s *Server) noteWide(rec obs.QueryRecord, traceID string, window int, maxDi
 		Keywords:       rec.Keywords,
 		K:              rec.K,
 		Alpha:          s.ds.AlphaRadius(),
-		Parallelism:    rec.Parallelism,
 		Window:         window,
 		MaxDist:        maxDist,
 		DurationMicros: rec.DurationMicros,

@@ -3,8 +3,8 @@ package shard_test
 // The scatter-gather soundness property (DESIGN.md §14): when every
 // shard answers, the coordinator's merged top-k is bit-identical to the
 // single-engine answer over the whole dataset — same places, same
-// scores, same order — across shard counts, window directives, parallel
-// widths, and cache settings. The proof sketch is that each shard runs
+// scores, same order — across shard counts, window directives and cache
+// settings. The proof sketch is that each shard runs
 // the identical engine over a place-subset of the same graph (looseness
 // is a graph property, unaffected by partitioning), so the global top-k
 // is a subset of the union of per-shard top-ks, and the merge re-imposes
@@ -90,7 +90,7 @@ func requireIdentical(t *testing.T, label string, want []ksp.Result, g *shard.Ga
 }
 
 // Multi-shard scatter-gather is bit-identical to single-shard
-// evaluation across shardCount × window × parallel × cache.
+// evaluation across shardCount × window × cache.
 func TestShardedEquivalence(t *testing.T) {
 	for _, cacheEntries := range []int{0, -1} {
 		cacheEntries := cacheEntries
@@ -104,25 +104,21 @@ func TestShardedEquivalence(t *testing.T) {
 				loc, kws := qg.Original(3)
 				query := ksp.Query{Loc: ksp.Point{X: loc.X, Y: loc.Y}, Keywords: kws, K: 5}
 				for _, window := range []int{0, 4} {
-					for _, parallel := range []int{0, 3} {
-						want, _, err := ds.SearchWith(ksp.AlgoSP, query, ksp.Options{
-							Window: window, Parallelism: parallel,
-						})
+					want, _, err := ds.SearchWith(ksp.AlgoSP, query, ksp.Options{Window: window})
+					if err != nil {
+						t.Fatal(err)
+					}
+					req := shard.Request{
+						X: query.Loc.X, Y: query.Loc.Y, Keywords: kws, K: query.K,
+						Algo: ksp.AlgoSP, Window: window,
+					}
+					for _, n := range []int{1, 2, 4, 7} {
+						label := fmt.Sprintf("q%d/w%d/shards%d", qi, window, n)
+						g, err := coords[n].Search(context.Background(), req)
 						if err != nil {
-							t.Fatal(err)
+							t.Fatalf("%s: %v", label, err)
 						}
-						req := shard.Request{
-							X: query.Loc.X, Y: query.Loc.Y, Keywords: kws, K: query.K,
-							Algo: ksp.AlgoSP, Window: window, Parallel: parallel,
-						}
-						for _, n := range []int{1, 2, 4, 7} {
-							label := fmt.Sprintf("q%d/w%d/p%d/shards%d", qi, window, parallel, n)
-							g, err := coords[n].Search(context.Background(), req)
-							if err != nil {
-								t.Fatalf("%s: %v", label, err)
-							}
-							requireIdentical(t, label, want, g)
-						}
+						requireIdentical(t, label, want, g)
 					}
 				}
 			}

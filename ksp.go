@@ -71,10 +71,6 @@ type CacheStats = core.CacheStats
 // totals. See Dataset.WindowStats.
 type WindowStats = core.WindowStats
 
-// SchedStats summarizes the parallel pipeline's work-stealing scheduler
-// over the dataset's lifetime (Dataset.SchedStats).
-type SchedStats = core.SchedStats
-
 // Registry is a metrics registry: engines and servers record into it,
 // and it renders in Prometheus text exposition format (WriteText) or as
 // JSON-friendly samples (Snapshot). See Dataset.EnableMetrics.
@@ -108,7 +104,7 @@ func PerfettoFromSpan(root *SpanJSON) *PerfettoTrace { return obs.PerfettoFromSp
 
 // ExplainReport is a query's structured plan + execution profile: the
 // algorithm and pruning rules chosen, the Rule-1 keyword order, the
-// window/pipeline policy, and the per-rule/per-phase cost counters the
+// window policy, and the per-rule/per-phase cost counters the
 // run actually incurred. See Dataset.Explain.
 type ExplainReport = core.ExplainReport
 
@@ -495,13 +491,6 @@ func (d *Dataset) CacheStats() (CacheStats, bool) { return d.engine.CacheStats()
 // TQSP construction. All zeros until a windowed query runs (every query
 // is windowed unless Options.Window is 1).
 func (d *Dataset) WindowStats() WindowStats { return d.engine.WindowStats() }
-
-// SchedStats reports the work-stealing scheduler's lifetime totals:
-// parallel pipeline runs, deque pops split into own pops and steals,
-// cumulative worker starvation time, and the current starvation-feedback
-// pipeline-depth hint. All zeros until a parallel query
-// (Options.Parallelism > 1) runs.
-func (d *Dataset) SchedStats() SchedStats { return d.engine.SchedStats() }
 
 // EnableMetrics registers the engine's instruments (query counters and
 // latency histograms per algorithm, TQSP and pruning counters, looseness
